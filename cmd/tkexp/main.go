@@ -83,10 +83,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if eng == sim.EngineFast && (*smp || *smpCI > 0 || *evOut != "") {
-		fmt.Fprintf(os.Stderr, "tkexp: engine %q cannot run with -sample or -events-out (use auto or reference)\n", eng)
-		os.Exit(2)
-	}
 	runner.Engine = eng
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir, store.Options{})
@@ -148,6 +144,14 @@ func main() {
 	if *evOut != "" {
 		sink = events.NewSink(events.Config{Cap: *evCap})
 		runner.Events = sink
+	}
+	// sim's eligibility rule decides whether an explicit engine can honour
+	// the sweep's sampling and capture options.
+	probe := runner.Opts
+	probe.Sampling, probe.Events = runner.Sampling, runner.Events
+	if _, err := sim.ResolveEngine(eng, probe); err != nil {
+		fmt.Fprintln(os.Stderr, "tkexp:", err)
+		os.Exit(2)
 	}
 	if *benches != "" {
 		var bs []string

@@ -28,9 +28,10 @@ type FastTracker struct {
 	hist blockHistTable
 
 	// By-kind histograms lifted out of Metrics' maps: Observe indexes by
-	// MissKind instead of hashing it. Rebuilt whenever m is replaced.
-	reloadBy [4]*stats.Hist
-	deadBy   [4]*stats.Hist
+	// MissKind instead of hashing it (one slot per kind, Unclassified
+	// included). Rebuilt whenever m is replaced.
+	reloadBy [classify.Unclassified + 1]*stats.Hist
+	deadBy   [classify.Unclassified + 1]*stats.Hist
 
 	quiet bool
 }
@@ -63,8 +64,8 @@ func NewFastTracker(frames int) *FastTracker {
 
 // bindMetrics refreshes the by-kind histogram arrays from t.m.
 func (t *FastTracker) bindMetrics() {
-	t.reloadBy = [4]*stats.Hist{}
-	t.deadBy = [4]*stats.Hist{}
+	t.reloadBy = [classify.Unclassified + 1]*stats.Hist{}
+	t.deadBy = [classify.Unclassified + 1]*stats.Hist{}
 	for k, h := range t.m.ReloadByKind {
 		t.reloadBy[k] = h
 	}

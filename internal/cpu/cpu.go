@@ -47,6 +47,19 @@ type Config struct {
 	ExecLat uint64
 }
 
+// FunctionalSubcycles converts a functional-warming rate of cpi cycles
+// per instruction (0 = 1.0) into the whole subcycles per instruction the
+// retire clock advances by on the functional path (at least 1).
+func (c Config) FunctionalSubcycles(cpi float64) uint64 {
+	if cpi <= 0 {
+		cpi = 1
+	}
+	if n := uint64(cpi*float64(c.Width) + 0.5); n > 0 {
+		return n
+	}
+	return 1
+}
+
 // DefaultConfig returns the Table 1 core.
 func DefaultConfig() Config { return Config{Width: 8, Window: 128, ExecLat: 1} }
 
@@ -267,13 +280,7 @@ func (m *Model) RunFunctional(ctx context.Context, s trace.Stream, maxRefs uint6
 	if !ok {
 		return m.RunContext(ctx, s, maxRefs)
 	}
-	if cpi <= 0 {
-		cpi = 1
-	}
-	subPerInst := uint64(cpi*float64(m.sub) + 0.5)
-	if subPerInst == 0 {
-		subPerInst = 1
-	}
+	subPerInst := m.cfg.FunctionalSubcycles(cpi)
 	var done, reported uint64
 	defer func() {
 		m.prog.Add(done - reported)

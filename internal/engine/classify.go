@@ -82,8 +82,8 @@ func (c *soaClassifier) access(block uint64) classify.MissKind {
 	return kind
 }
 
-// warm transcribes classify.Classifier.Warm (functional-warming cold
-// check; unused by the detailed engine loop but kept for parity tests).
+// warm transcribes classify.Classifier.Warm: the functional-warming cold
+// check, which marks the block seen without touching the shadow LRU.
 func (c *soaClassifier) warm(block uint64) (cold bool) {
 	if c.seen.has(block) {
 		return false

@@ -24,9 +24,14 @@
 // What does NOT change: the transition function. Every stats counter,
 // timing decision and replacement choice is an exact transcription of
 // the reference path, proven byte-identical over the golden corpus by
-// sim's differential engine gate. Audit mode, event capture, sampling
-// and custom hooks are deliberately unsupported — sim selects the
-// reference loop for those runs.
+// sim's differential engine gate. That includes the functional-warming
+// path statistical sampling drives between detailed windows
+// (RunFunctional, transcribing cpu.Model.StepFunctional and
+// hier.Hierarchy.AccessFunctional), so internal/sample runs its
+// fixed-period, target-CI and phase schedules on the engine directly.
+// Audit mode, event capture, segment-parallel sampling (which clones
+// reference instances) and custom hooks are deliberately unsupported —
+// sim selects the reference loop for those runs.
 package engine
 
 import (
@@ -304,6 +309,28 @@ func (e *Engine) flushCounters() {
 // mirroring cpu.Model.RunContext: cancellation and progress land on the
 // same reference counts, and the returned snapshot is cumulative.
 func (e *Engine) Run(ctx context.Context, s trace.Stream, maxRefs uint64) (cpu.Result, error) {
+	return e.run(ctx, s, maxRefs, 0)
+}
+
+// RunContext is Run under cpu.Model's name for it, so the engine and the
+// reference core satisfy the same sampling interface (sample.Core).
+func (e *Engine) RunContext(ctx context.Context, s trace.Stream, maxRefs uint64) (cpu.Result, error) {
+	return e.run(ctx, s, maxRefs, 0)
+}
+
+// RunFunctional drives up to maxRefs references through the
+// functional-warming path at a nominal rate of cpi cycles per
+// instruction (0 = 1.0), mirroring cpu.Model.RunFunctional with Run's
+// batch, cancellation and progress cadence. The returned snapshot is
+// cumulative.
+func (e *Engine) RunFunctional(ctx context.Context, s trace.Stream, maxRefs uint64, cpi float64) (cpu.Result, error) {
+	return e.run(ctx, s, maxRefs, e.cfg.CPU.FunctionalSubcycles(cpi))
+}
+
+// run is the batch loop behind Run and RunFunctional: subPerInst == 0
+// steps every reference in detail, otherwise through the functional path
+// at subPerInst subcycles per instruction.
+func (e *Engine) run(ctx context.Context, s trace.Stream, maxRefs, subPerInst uint64) (cpu.Result, error) {
 	var done, reported uint64
 	defer func() {
 		e.prog.Add(done - reported)
@@ -343,7 +370,11 @@ func (e *Engine) Run(ctx context.Context, s trace.Stream, maxRefs uint64) (cpu.R
 			}
 			for i := 0; i < n; i++ {
 				r := &e.lookahead[i]
-				e.step(r)
+				if subPerInst == 0 {
+					e.step(r)
+				} else {
+					e.stepFunctional(r, subPerInst)
+				}
 				done++
 				e.refs++
 				switch r.Kind {
@@ -646,6 +677,165 @@ func (e *Engine) miss(block uint64, kind classify.MissKind, write bool, now uint
 	}
 	e.demandMSHR.commit(block, done)
 	return done
+}
+
+// stepFunctional transcribes cpu.Model.StepFunctional: the OoO window,
+// dependence and latency machinery are bypassed and the clock advances at
+// subPerInst subcycles per instruction. The retirement ring is still
+// recorded, which keeps a later step's window constraint consistent.
+func (e *Engine) stepFunctional(r *trace.Ref, subPerInst uint64) {
+	gap := uint64(r.Gap)
+	e.idx += gap + 1
+	adv := (gap + 1) * subPerInst
+	e.fetchSub += adv
+	e.retireSub += adv
+	e.accessFunctional(r, e.retireSub/e.sub)
+	e.record(e.idx, e.retireSub)
+}
+
+// accessFunctional transcribes hier.Hierarchy.AccessFunctional: contents,
+// cold set, per-frame counters and attachments advance; MSHR, bus and
+// DRAM timing, the demand-merge check and the shadow-LRU update do not.
+func (e *Engine) accessFunctional(r *trace.Ref, now uint64) {
+	if now > e.maxNow {
+		e.maxNow = now
+	}
+	if len(e.pending) > 0 {
+		e.applyPendingFills(e.maxNow)
+	}
+
+	block := e.l1.blockAddr(r.Addr)
+	write := r.Kind == trace.Store
+	e.stats.Accesses++
+
+	hit, frame, resVictim := e.l1.access(r.Addr, write)
+
+	var ev hier.AccessEvent
+	evp := (*hier.AccessEvent)(nil)
+	if e.needEvent {
+		ev = hier.AccessEvent{
+			Now:   now,
+			Done:  now,
+			Addr:  r.Addr,
+			Block: block,
+			PC:    r.PC,
+			Frame: frame,
+			Write: write,
+			SW:    r.Kind == trace.SWPrefetch,
+			Hit:   hit,
+		}
+		evp = &ev
+	}
+
+	missKind := classify.Hit
+	if hit {
+		e.stats.Hits++
+	} else {
+		missKind = e.missFunctional(block, write, now, frame, resVictim, evp)
+	}
+
+	// Per-frame counter hardware update, identical to access.
+	fc := &e.fctr[frame]
+	if hit {
+		fc.hits++
+		if fc.prefetched {
+			fc.prefetched = false
+			e.stats.PFUseful++
+			e.pfUsefulN++
+		}
+		if now > fc.lastAccess {
+			fc.lastAccess = now
+		}
+	} else {
+		fc.loadedAt = now
+		fc.hits = 0
+		fc.prefetched = false
+		fc.lastAccess = now
+	}
+
+	if e.tracker != nil {
+		e.tracker.Observe(frame, now, block, hit, missKind, !hit && resVictim.Valid)
+	}
+	if e.dec != nil {
+		e.dec.OnAccess(evp)
+	}
+	if e.pf != pfNone {
+		switch e.pf {
+		case pfTK:
+			e.tk.OnAccess(evp)
+		case pfDBCP:
+			e.dbcp.OnAccess(evp)
+		case pfNL:
+			e.nl.OnAccess(evp)
+		}
+		e.issuePrefetches(now)
+	}
+}
+
+// missFunctional transcribes hier.Hierarchy.missFunctional: eviction and
+// victim-buffer interposition behave exactly as in miss, but the fill
+// goes straight to the L2 array with no MSHR, bus or memory timing. Only
+// cold misses are classified; the rest report classify.Unclassified.
+func (e *Engine) missFunctional(block uint64, write bool, now uint64, frame int, resVictim cache.Victim, evp *hier.AccessEvent) classify.MissKind {
+	e.stats.Misses++
+	kind := classify.Unclassified
+	if e.classifier.warm(block) {
+		kind = classify.Cold
+		e.stats.ColdMisses++
+	}
+	if evp != nil {
+		evp.MissKind = kind
+	}
+
+	if resVictim.Valid {
+		fc := &e.fctr[frame]
+		var dead uint64
+		if now > fc.lastAccess {
+			dead = now - fc.lastAccess
+		}
+		if fc.lastAccess == 0 && fc.loadedAt == 0 {
+			dead = 0
+		}
+		if evp != nil {
+			evp.Victim = resVictim
+		}
+		if e.victim != nil {
+			e.victim.Offer(hier.Eviction{
+				Now:      now,
+				Victim:   resVictim,
+				Frame:    frame,
+				Incoming: block,
+				DeadTime: dead,
+				ZeroLive: fc.hits == 0,
+			})
+		}
+		if resVictim.Dirty {
+			e.stats.Writebacks++
+		}
+	}
+
+	if e.victim != nil && e.victim.Lookup(block, now) {
+		if evp != nil {
+			evp.VictimHit = true
+		}
+		e.stats.VictimHits++
+		return kind
+	}
+
+	if e.cfg.Hier.PerfectL1 && kind != classify.Cold {
+		return kind
+	}
+
+	l2hit, _, l2victim := e.l2.access(block, write)
+	if l2hit {
+		e.stats.L2Hits++
+	} else {
+		e.stats.L2Misses++
+		if l2victim.Valid && l2victim.Dirty {
+			e.stats.L2Writebacks++
+		}
+	}
+	return kind
 }
 
 // due dispatches the prefetcher's Due via the devirtualized enum.

@@ -23,10 +23,23 @@ type Warmable interface {
 	SetRecording(on bool)
 }
 
+// Core is the execution side of the simulation a sampled run drives:
+// detailed and functional-warming stretches plus the cumulative snapshot.
+// The reference core (*cpu.Model) and the fast engine (*engine.Engine)
+// both implement it.
+type Core interface {
+	RunContext(ctx context.Context, s trace.Stream, maxRefs uint64) (cpu.Result, error)
+	RunFunctional(ctx context.Context, s trace.Stream, maxRefs uint64, cpi float64) (cpu.Result, error)
+	Snapshot() cpu.Result
+	Now() uint64
+}
+
 // Config hands the engine an assembled simulation.
 type Config struct {
-	CPU    *cpu.Model
-	Hier   *hier.Hierarchy
+	CPU Core
+	// Hier supplies the memory system's window counters
+	// (*hier.Hierarchy, or the *engine.Engine that is also CPU).
+	Hier   interface{ Stats() hier.Stats }
 	Stream trace.Stream
 	Policy Policy
 

@@ -11,7 +11,8 @@
 //
 // The package provides the sampling policy (the JSON-stable knob set that
 // keys result caching), the estimator arithmetic, and the engine that
-// drives an assembled cpu.Model/hier.Hierarchy pair (see Run).
+// drives an assembled simulation — the fast engine or the reference
+// cpu.Model/hier.Hierarchy pair — through the schedule (see Run and Core).
 package sample
 
 import (

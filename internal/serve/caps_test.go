@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"os"
 	"testing"
 
 	"timekeeping/pkg/api"
@@ -80,9 +81,11 @@ func TestRunEngineSelection(t *testing.T) {
 	}
 
 	// The engine is not part of the cache key: the same configuration
-	// requested under the other engine is a cache hit, and the view
-	// records the engine that actually produced the stored result.
-	req.Engine = "fast"
+	// requested under another engine name is a cache hit, and the view
+	// records the engine that actually produced the stored result. (The
+	// name is "auto" rather than "fast" so the check also holds under
+	// TK_AUDIT, where an explicit fast request is a bad_request.)
+	req.Engine = "auto"
 	j2, err := cl.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -107,13 +110,39 @@ func TestRunEngineErrors(t *testing.T) {
 	}
 
 	// An explicit fast engine cannot carry reference-only
-	// instrumentation; the request is rejected up front.
+	// instrumentation (here the segment-parallel schedule, which clones
+	// reference instances); the request is rejected up front.
 	req = fastRun
 	req.Engine = "fast"
-	req.Sampling = &api.SamplingPolicy{DetailedRefs: 1000, WarmRefs: 1000}
+	req.Sampling = &api.SamplingPolicy{DetailedRefs: 1000, WarmRefs: 1000, SegmentWindows: 2}
 	_, err = cl.Run(context.Background(), req)
 	ae = apiError(t, err)
 	if ae.Code != api.CodeBadRequest || ae.HTTPStatus != http.StatusBadRequest {
-		t.Fatalf("fast+sampling: got %+v", ae)
+		t.Fatalf("fast+segmented sampling: got %+v", ae)
+	}
+}
+
+// TestRunFastSampled: fixed-period, target-CI and phase sampling run on
+// the fast engine, so an explicit fast request carrying them is served.
+func TestRunFastSampled(t *testing.T) {
+	if os.Getenv("TK_AUDIT") != "" {
+		t.Skip("TK_AUDIT forces the reference engine")
+	}
+	_, _, cl := newTestServer(t, Config{})
+	for _, pol := range []*api.SamplingPolicy{
+		{DetailedRefs: 500, WarmRefs: 1000},
+		{DetailedRefs: 500, WarmRefs: 1000, TargetRelCI: 0.05},
+		{DetailedRefs: 500, WarmRefs: 1000, Schedule: "phase", PhaseIntervals: 4},
+	} {
+		req := fastRun
+		req.Engine = "fast"
+		req.Sampling = pol
+		j, err := cl.Run(context.Background(), req)
+		if err != nil {
+			t.Fatalf("fast+%+v: %v", *pol, err)
+		}
+		if j.Result == nil || j.Result.Engine != "fast" || j.Result.Estimate == nil {
+			t.Fatalf("fast+%+v: result %+v, want a fast-engine estimate", *pol, j.Result)
+		}
 	}
 }

@@ -343,28 +343,18 @@ func (s *Server) options(req api.RunRequest) (sim.Options, sim.Engine, *api.Erro
 		}
 		opt.Sampling = pol
 	}
-	// Reject an explicit fast-engine request up front when the run needs
-	// instrumentation only the reference loop carries, instead of failing
-	// the job at run time.
-	if eng == sim.EngineFast {
-		reason := ""
-		switch {
-		case opt.Sampling != nil:
-			reason = "statistical sampling"
-		case req.Events:
-			reason = "event capture"
-		case opt.Audit:
-			reason = "audit mode"
-		}
-		if reason != "" {
-			return sim.Options{}, "", &api.Error{
-				Code: api.CodeBadRequest,
-				Message: fmt.Sprintf("engine %q cannot run with %s (use %q or %q)",
-					sim.EngineFast, reason, sim.EngineAuto, sim.EngineReference),
-			}
-		}
-	}
 	return opt, eng, nil
+}
+
+// checkEngine applies sim's engine-eligibility rule to the options a job
+// will run with, so an explicit fast-engine request those options cannot
+// honour (segment-parallel sampling, event capture, audit) is a
+// bad_request up front instead of a failed job.
+func checkEngine(eng sim.Engine, opt sim.Options) *api.Error {
+	if _, err := sim.ResolveEngine(eng, opt); err != nil {
+		return &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
+	}
+	return nil
 }
 
 // samplingPolicy converts the wire policy to the simulator's.
@@ -476,6 +466,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		sink = events.NewSink(events.Config{Cap: s.eventsCap})
 	}
+	opt.Events = sink
+	if aerr := checkEngine(eng, opt); aerr != nil {
+		writeError(w, http.StatusBadRequest, aerr)
+		return
+	}
 
 	// The request is valid: open (or join, via an inbound traceparent) its
 	// trace and surface the trace ID on the response so a client can fetch
@@ -533,7 +528,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		opt.Progress = j.prog
-		opt.Events = j.events // nil unless the request asked for capture
 		span := j.events.BeginSpan("resolve "+spec.Name, 0)
 		rstart := time.Now()
 		res, outcome, err := s.cache.DoStaged(ctx, key, func(ctx context.Context) (sim.Result, error) {
@@ -694,12 +688,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, filterError(err))
 		return
 	}
-	if eng == sim.EngineFast && req.Sampling != nil {
-		writeError(w, http.StatusBadRequest, &api.Error{
-			Code: api.CodeBadRequest,
-			Message: fmt.Sprintf("engine %q cannot run with statistical sampling (use %q or %q)",
-				sim.EngineFast, sim.EngineAuto, sim.EngineReference),
-		})
+	eopt := s.base
+	eopt.Sampling = samplingPolicy(req.Sampling)
+	if aerr := checkEngine(eng, eopt); aerr != nil {
+		writeError(w, http.StatusBadRequest, aerr)
 		return
 	}
 

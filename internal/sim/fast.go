@@ -7,14 +7,17 @@ import (
 	"timekeeping/internal/decay"
 	"timekeeping/internal/engine"
 	"timekeeping/internal/obs"
+	"timekeeping/internal/sample"
 	"timekeeping/internal/trace"
 )
 
 // runFast drives the batched struct-of-arrays engine (internal/engine).
-// The construction, warm-up/reset/measure sequence, and result assembly
-// mirror runReference exactly; the differential gate in internal/golden
-// holds the two paths byte-identical over the whole corpus.
-func runFast(ctx context.Context, name string, stream trace.Stream, opt Options) (Result, error) {
+// The construction, warm-up/reset/measure sequence (or, for a sampled
+// run, the hand-off to internal/sample), and result assembly mirror
+// runReference exactly; the differential gates hold the two paths
+// byte-identical over the whole corpus. factory re-derives the stream
+// for the phase schedule's profiling pass; it may be nil otherwise.
+func runFast(ctx context.Context, name string, stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error) {
 	e := engine.New(engine.Config{Hier: opt.Hier, CPU: opt.CPU})
 
 	vc, err := newVictimCache(opt, e.NumFrames())
@@ -55,34 +58,46 @@ func runFast(ctx context.Context, name string, stream trace.Stream, opt Options)
 	}
 	e.SetProgress(opt.Progress)
 
-	opt.Progress.Begin(obs.PhaseWarmup, opt.WarmupRefs+opt.MeasureRefs)
-	warm, err := e.Run(ctx, stream, opt.WarmupRefs)
-	if err != nil {
-		return Result{}, err
-	}
+	var res Result
+	if opt.Sampling != nil {
+		scfg := sample.Config{CPU: e, Hier: e}
+		if tracker != nil {
+			scfg.Warmables = []sample.Warmable{tracker}
+		}
+		res, err = runSampled(ctx, name, scfg, stream, factory, opt)
+		if err != nil {
+			return Result{}, err
+		}
+	} else {
+		opt.Progress.Begin(obs.PhaseWarmup, opt.WarmupRefs+opt.MeasureRefs)
+		warm, err := e.Run(ctx, stream, opt.WarmupRefs)
+		if err != nil {
+			return Result{}, err
+		}
 
-	// Measurement window: reset statistics, keep all state (the same
-	// sequence, in the same order, as runReference).
-	e.ResetStats()
-	if vc != nil {
-		vc.ResetStats()
-	}
-	pfs.resetStats()
-	if tracker != nil {
-		tracker.Reset()
-	}
+		// Measurement window: reset statistics, keep all state (the same
+		// sequence, in the same order, as runReference).
+		e.ResetStats()
+		if vc != nil {
+			vc.ResetStats()
+		}
+		pfs.resetStats()
+		if tracker != nil {
+			tracker.Reset()
+		}
 
-	opt.Progress.SetPhase(obs.PhaseMeasure)
-	final, err := e.Run(ctx, stream, opt.MeasureRefs)
-	if err != nil {
-		return Result{}, err
-	}
+		opt.Progress.SetPhase(obs.PhaseMeasure)
+		final, err := e.Run(ctx, stream, opt.MeasureRefs)
+		if err != nil {
+			return Result{}, err
+		}
 
-	res := Result{
-		Bench:     name,
-		CPU:       final.Minus(warm),
-		Hier:      e.Stats(),
-		TotalRefs: final.Refs,
+		res = Result{
+			Bench:     name,
+			CPU:       final.Minus(warm),
+			Hier:      e.Stats(),
+			TotalRefs: final.Refs,
+		}
 	}
 	if vc != nil {
 		s := vc.Stats()

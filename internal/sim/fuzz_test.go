@@ -9,7 +9,10 @@ package sim_test
 // (-fuzztime=30s); longer local runs just need `go test -fuzz`.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"os"
 	"reflect"
 	"testing"
 
@@ -17,6 +20,7 @@ import (
 	"timekeeping/internal/core"
 	"timekeeping/internal/cpu"
 	"timekeeping/internal/hier"
+	"timekeeping/internal/sample"
 	"timekeeping/internal/sim"
 	"timekeeping/internal/trace"
 	"timekeeping/internal/workload"
@@ -229,6 +233,87 @@ func FuzzCloneDiverge(f *testing.F) {
 		}
 		if !reflect.DeepEqual(tr.Metrics(), tr2.Metrics()) {
 			t.Fatal("tracker metrics diverged")
+		}
+	})
+}
+
+// FuzzSampledEngines hunts for sampling policies, benchmarks and
+// mechanisms on which a sampled run's result depends on the engine: the
+// same fuzzed options run on the fast engine and on the reference loop,
+// and the two results (estimate included) must be byte-identical in
+// canonical JSON. Policies that fail validation must fail identically.
+// CI runs it as a short smoke next to FuzzAuditedRun.
+func FuzzSampledEngines(f *testing.F) {
+	f.Add(uint64(0), uint64(0), uint64(2048), uint64(30208), uint64(512), uint64(10), uint64(0), uint64(0), uint64(0))
+	f.Add(uint64(5), uint64(9), uint64(1000), uint64(4000), uint64(256), uint64(15), uint64(6), uint64(20), uint64(0))
+	f.Add(uint64(11), uint64(40), uint64(700), uint64(2500), uint64(0), uint64(7), uint64(0), uint64(0), uint64(1))
+	f.Add(uint64(17), uint64(105), uint64(300), uint64(900), uint64(64), uint64(30), uint64(3), uint64(5), uint64(5))
+	f.Add(uint64(23), uint64(255), uint64(1), uint64(1), uint64(1), uint64(0), uint64(1), uint64(1), uint64(3))
+
+	f.Fuzz(func(t *testing.T, bench, mech, detailed, warm, detailedWarm, cpi, maxWindows, targetCI, sched uint64) {
+		if os.Getenv("TK_AUDIT") != "" {
+			t.Skip("TK_AUDIT makes the fast engine unavailable")
+		}
+		names := workload.Names()
+		spec := workload.MustProfile(names[bench%uint64(len(names))])
+
+		opt := sim.Default()
+		opt.WarmupRefs = 4_000
+		opt.MeasureRefs = 40_000
+		opt.Hier.L1 = fuzzL1Geometries[mech%uint64(len(fuzzL1Geometries))]
+		switch (mech / 8) % 4 {
+		case 1:
+			opt.Prefetcher = sim.PrefetchTK
+		case 2:
+			opt.Prefetcher = sim.PrefetchNextLine
+		case 3:
+			opt.Prefetcher = sim.PrefetchDBCP
+		}
+		if mech&32 != 0 {
+			opt.VictimFilter = sim.VictimDecay
+		}
+		if mech&64 != 0 {
+			opt.DecayIntervals = []uint64{1 << 12, 1 << 14}
+		}
+		if mech&128 != 0 {
+			opt.Hier.PerfectL1 = true
+		}
+		opt.Track = mech&256 == 0
+		opt.DropSWPrefetch = mech&512 != 0
+
+		pol := sample.Policy{
+			DetailedRefs:     1 + detailed%3000,
+			WarmRefs:         1 + warm%12000,
+			DetailedWarmRefs: detailedWarm % 1000,
+			NominalCPI:       float64(cpi%40) / 10,
+			MaxWindows:       int(maxWindows % 24),
+		}
+		if sched%2 == 1 {
+			pol.Schedule = sample.SchedulePhase
+			pol.PhaseIntervals = 2 + int(sched/2%7)
+		} else if targetCI%4 != 0 {
+			pol.TargetRelCI = float64(targetCI%100) / 1000
+		}
+		opt.Sampling = &pol
+
+		fast, ferr := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: opt, Engine: sim.EngineFast})
+		ref, rerr := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: opt, Engine: sim.EngineReference})
+		if ferr != nil || rerr != nil {
+			if ferr == nil || rerr == nil || ferr.Error() != rerr.Error() {
+				t.Fatalf("engines disagree on failure: fast %v, reference %v", ferr, rerr)
+			}
+			return
+		}
+		fb, err := json.Marshal(fast)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := json.Marshal(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(fb, rb) {
+			t.Fatalf("sampled engines diverge (%s, %+v)\nreference: %s\nfast:      %s", spec.Name, pol, rb, fb)
 		}
 	})
 }

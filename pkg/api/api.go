@@ -86,8 +86,10 @@ type RunRequest struct {
 	// Engine selects the execution engine: "auto" (or empty), "fast", or
 	// "reference". The engines are proven result-identical, so the choice
 	// does not change the result-cache key; "fast" is rejected
-	// (bad_request) when the request needs instrumentation only the
-	// reference loop carries (sampling, event capture, audit).
+	// (bad_request) when the request needs what only the reference loop
+	// carries: segment-parallel sampling (SamplingPolicy.SegmentWindows),
+	// event capture or audit. Fixed-period, target-CI and phase sampling
+	// run on either engine.
 	Engine         string `json:"engine,omitempty"`
 	Victim         string `json:"victim,omitempty"`
 	VictimEntries  int    `json:"victim_entries,omitempty"`

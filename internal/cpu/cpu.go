@@ -137,6 +137,9 @@ type Model struct {
 	// prog, when set, receives reference-count updates on the context-check
 	// cadence (every ctxCheckRefs references). Nil is a valid no-op.
 	prog *obs.Progress
+
+	// batch holds the references the run loop pulled from the stream.
+	batch [fillRefs]trace.Ref
 }
 
 // New builds a core over the given memory system.
@@ -280,34 +283,7 @@ func (m *Model) RunFunctional(ctx context.Context, s trace.Stream, maxRefs uint6
 	if !ok {
 		return m.RunContext(ctx, s, maxRefs)
 	}
-	subPerInst := m.cfg.FunctionalSubcycles(cpi)
-	var done, reported uint64
-	defer func() {
-		m.prog.Add(done - reported)
-	}()
-	var r trace.Ref
-	for done < maxRefs {
-		if done%ctxCheckRefs == 0 {
-			m.prog.Add(done - reported)
-			reported = done
-			if err := ctx.Err(); err != nil {
-				return m.Snapshot(), err
-			}
-		}
-		if !s.Next(&r) {
-			break
-		}
-		m.StepFunctional(&r, fmem, subPerInst)
-		done++
-		m.refs++
-		switch r.Kind {
-		case trace.Load:
-			m.loads++
-		case trace.Store:
-			m.stores++
-		}
-	}
-	return m.Snapshot(), nil
+	return m.run(ctx, s, maxRefs, fmem, m.cfg.FunctionalSubcycles(cpi))
 }
 
 // Run drives up to maxRefs references from the stream (or until it ends)
@@ -322,17 +298,30 @@ func (m *Model) Run(s trace.Stream, maxRefs uint64) Result {
 // enough that the check is invisible in profiles.
 const ctxCheckRefs = 4096
 
+// fillRefs is how many references the run loop pulls from the stream at
+// a time; it divides ctxCheckRefs, so context checks land on the same
+// reference counts as a one-at-a-time loop.
+const fillRefs = 256
+
 // RunContext is Run with cancellation at reference-loop granularity: when
 // ctx is cancelled the model stops between references and returns the
 // snapshot so far alongside ctx's error.
 func (m *Model) RunContext(ctx context.Context, s trace.Stream, maxRefs uint64) (Result, error) {
+	return m.run(ctx, s, maxRefs, nil, 0)
+}
+
+// run is the loop behind RunContext and RunFunctional: a nil fmem steps
+// every reference in detail, otherwise through the functional path at
+// subPerInst subcycles per instruction. It pulls references in batches
+// and never past maxRefs, so the stream is left exactly after the last
+// reference processed.
+func (m *Model) run(ctx context.Context, s trace.Stream, maxRefs uint64, fmem FunctionalMemSystem, subPerInst uint64) (Result, error) {
 	var done, reported uint64
 	defer func() {
 		// Flush the sub-cadence remainder so progress lands exactly on the
 		// number of references processed, however the loop exits.
 		m.prog.Add(done - reported)
 	}()
-	var r trace.Ref
 	for done < maxRefs {
 		if done%ctxCheckRefs == 0 {
 			m.prog.Add(done - reported)
@@ -341,17 +330,29 @@ func (m *Model) RunContext(ctx context.Context, s trace.Stream, maxRefs uint64) 
 				return m.Snapshot(), err
 			}
 		}
-		if !s.Next(&r) {
-			break
+		want := maxRefs - done
+		if want > fillRefs {
+			want = fillRefs
 		}
-		m.Step(&r)
-		done++
-		m.refs++
-		switch r.Kind {
-		case trace.Load:
-			m.loads++
-		case trace.Store:
-			m.stores++
+		n := trace.Fill(s, m.batch[:want])
+		for i := range m.batch[:n] {
+			r := &m.batch[i]
+			if fmem == nil {
+				m.Step(r)
+			} else {
+				m.StepFunctional(r, fmem, subPerInst)
+			}
+			done++
+			m.refs++
+			switch r.Kind {
+			case trace.Load:
+				m.loads++
+			case trace.Store:
+				m.stores++
+			}
+		}
+		if uint64(n) < want {
+			break // stream exhausted
 		}
 	}
 	return m.Snapshot(), nil

@@ -357,10 +357,7 @@ func (e *Engine) run(ctx context.Context, s trace.Stream, maxRefs, subPerInst ui
 			if want > touchBatch {
 				want = touchBatch
 			}
-			n := 0
-			for uint64(n) < want && s.Next(&e.lookahead[n]) {
-				n++
-			}
+			n := trace.Fill(s, e.lookahead[:want])
 			if e.tablesSpill() {
 				sink := uint64(0)
 				for i := 0; i < n; i++ {

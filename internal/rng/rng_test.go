@@ -184,3 +184,12 @@ func BenchmarkUint64(b *testing.B) {
 	}
 	_ = sink
 }
+
+func BenchmarkGeometric(b *testing.B) {
+	r := New(1)
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink += r.Geometric(6)
+	}
+	_ = sink
+}

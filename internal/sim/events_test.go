@@ -50,7 +50,12 @@ func TestEventsEndToEnd(t *testing.T) {
 			t.Fatalf("span %q left open", sp.Name)
 		}
 	}
-	for _, want := range []string{"run", "warmup", "measure"} {
+	// TK_AUDIT forces audit mode on, which names the run span audited-run.
+	runSpan := "run"
+	if auditForced() {
+		runSpan = "audited-run"
+	}
+	for _, want := range []string{runSpan, "warmup", "measure"} {
 		if !spans[want] {
 			t.Fatalf("missing %q span (have %v)", want, spans)
 		}

@@ -53,9 +53,6 @@ func runFast(ctx context.Context, name string, stream trace.Stream, factory func
 		e.AttachDecay(dec)
 	}
 
-	if opt.DropSWPrefetch {
-		stream = &trace.DropSWPrefetch{S: stream}
-	}
 	e.SetProgress(opt.Progress)
 
 	var res Result

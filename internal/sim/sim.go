@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"runtime"
 	"strings"
 
 	"timekeeping/internal/core"
@@ -350,7 +351,25 @@ func (r Result) VictimFillPerCycle() float64 {
 
 // Run simulates one Spec. When ctx is cancelled the simulation stops at
 // reference-loop granularity and returns ctx's error.
+//
+// A workload-backed run generates its reference stream on a producer
+// goroutine that reads ahead in batches (trace.Pipe), so generation
+// overlaps simulation, when another CPU is available to run it and the
+// run's budget exceeds one batch; the producer is stopped before Run
+// returns. Explicit streams are consumed in place.
 func Run(ctx context.Context, s Spec) (Result, error) {
+	return run(ctx, s, readAhead(s.Opts))
+}
+
+// readAhead reports whether Run pipelines a workload-backed stream: only
+// when GOMAXPROCS leaves a CPU for the producer and the run's budget
+// does not fit in one batch.
+func readAhead(opt Options) bool {
+	return runtime.GOMAXPROCS(0) > 1 && opt.WarmupRefs+opt.MeasureRefs > trace.MaxBatch
+}
+
+// run is Run with the read-ahead decision made by the caller.
+func run(ctx context.Context, s Spec, pipelined bool) (Result, error) {
 	opt := s.Opts
 	name := s.Name
 	stream := s.Stream
@@ -390,6 +409,17 @@ func Run(ctx context.Context, s Spec) (Result, error) {
 	eng, err := ResolveEngine(s.Engine, opt)
 	if err != nil {
 		return Result{}, err
+	}
+
+	// Both engines consume the filtered stream; filtering ahead of the
+	// pipe moves that work onto the producer too.
+	if opt.DropSWPrefetch {
+		stream = &trace.DropSWPrefetch{S: stream}
+	}
+	if pipelined && s.Stream == nil {
+		p := trace.NewPipe(stream)
+		defer p.Close()
+		stream = p
 	}
 
 	var res Result
@@ -626,10 +656,6 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 			CompareDecay:   opt.Prefetcher == PrefetchOff,
 		})
 		h.SetAuditor(aud)
-	}
-
-	if opt.DropSWPrefetch {
-		stream = &trace.DropSWPrefetch{S: stream}
 	}
 
 	m := cpu.New(opt.CPU, h)

@@ -96,6 +96,14 @@ type stream struct {
 	left     int
 }
 
+// Fill implements trace.Filler; workload streams never end.
+func (s *stream) Fill(dst []trace.Ref) int {
+	for i := range dst {
+		s.Next(&dst[i])
+	}
+	return len(dst)
+}
+
 // Next implements trace.Stream; workload streams never end.
 func (s *stream) Next(r *trace.Ref) bool {
 	p := s.patterns[s.cur]
